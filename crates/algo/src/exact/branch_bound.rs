@@ -4,19 +4,36 @@
 //!
 //! The brute-force oracle ([`crate::exact::exhaustive`]) evaluates every
 //! `(partition, allocation)` pair; this solver explores the same tree
-//! depth-first but prunes with two sound bounds:
+//! depth-first but prunes with two sound bounds. At a node, `free` is the
+//! set of processors no interval uses yet:
 //!
-//! * **latency bound** — partial latency, plus the cheapest possible finish
-//!   of the pending interval (its work on its fastest replica, zero
-//!   outgoing communication), plus the remaining stages' work on the
-//!   globally fastest processor, plus the unavoidable I/O communication
-//!   floors (cheapest `P_in` link before the first interval opens, cheapest
-//!   `P_out` link while stages remain — both cached in
-//!   [`EvalContext`]), already exceeds the latency budget;
-//! * **failure bound** — the failure probability of the mapped prefix
-//!   (remaining intervals can only *increase* FP, since each multiplies
-//!   the success probability by a factor `≤ 1`) is already no better than
-//!   the incumbent.
+//! * **latency bound** — the partial latency, plus the cheapest possible
+//!   close of the pending interval, plus the cheapest possible rest:
+//!   * eq. (2) takes the max over replicas, so the pending interval costs
+//!     at least its work on its **slowest** replica; while stages remain,
+//!     each replica must also send `δ` to at least one free processor,
+//!     which costs at least its transfer over its best link into `free`;
+//!   * the remaining stages run at best on the fastest **free**
+//!     processor, and the final interval pays at least the cheapest
+//!     `P_out` transfer (before the first interval opens, the cheapest
+//!     `P_in` transfer stands in for the pending term);
+//!
+//!   no completion can beat the sum, which is deflated by a few ulps
+//!   before every comparison: it adds its terms in a different order
+//!   than a leaf does, so the rounded bound could otherwise land an ulp
+//!   above the very leaf it bounds;
+//! * **failure bound** — the remaining stages must be replicated on free
+//!   processors, so the success probability is at most the mapped
+//!   prefix's times `1 − Π_{u∈free} fp_u`.
+//!
+//! Children are cheap: the failure cost `−ln(1 − Π fp)`, the fastest speed
+//! and the summed `P_in` transfer of every replica set are looked up in
+//! per-mask tables, built once per [`BranchBound`] and shared by every
+//! run (each ε-step of a front sweep) and every worker. Each entry replays
+//! the ascending-processor loop it replaces operation for operation, and
+//! tighter bounds only skip subtrees that cannot hold the canonical
+//! winner (below), so answers are bit-identical to the untabulated,
+//! looser search.
 //!
 //! # Cooperative parallel search
 //!
@@ -56,10 +73,11 @@ use rpwf_core::num::LogProb;
 use rpwf_core::platform::{Platform, ProcId, Vertex};
 use rpwf_core::stage::Pipeline;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// State-space cap (`2^m` allocation masks).
-const MAX_PROCS: usize = 24;
+/// State-space cap: the per-mask tables hold `2^m` entries each.
+const MAX_PROCS: usize = 16;
 
 /// Ceiling on materialized work units when splitting deeper than one
 /// interval; generation stops refining once this many units exist (the
@@ -67,7 +85,7 @@ const MAX_PROCS: usize = 24;
 const MAX_UNITS: usize = 1 << 16;
 
 /// Branch-and-bound solver handle.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct BranchBound<'a> {
     pipeline: &'a Pipeline,
     platform: &'a Platform,
@@ -78,6 +96,48 @@ pub struct BranchBound<'a> {
     threads: usize,
     /// Intervals fixed per work unit (frontier split depth).
     split_depth: usize,
+    /// Per-mask tables, built by the first run and reused by every later
+    /// one.
+    tables: OnceLock<MaskTables>,
+}
+
+/// Per-replica-set tables indexed by processor mask (bit `u` = `P_u`).
+/// Entry `mask` extends the entry without its highest bit by that
+/// processor's term, which is exactly the ascending-bit loop each table
+/// replaces, so every lookup is bit-identical to the loop.
+#[derive(Clone, Debug)]
+struct MaskTables {
+    /// `−ln(1 − Π_{u∈mask} fp_u)`: what an interval replicated on `mask`
+    /// adds to the accumulated `−ln(success)`.
+    fp_cost: Vec<f64>,
+    /// Fastest speed in `mask` (`0` for the empty mask).
+    max_speed: Vec<f64>,
+    /// `Σ_{u∈mask}` of the `P_in → P_u` input transfers: the latency of
+    /// opening the first interval on `mask`.
+    input_comm: Vec<f64>,
+}
+
+impl MaskTables {
+    fn new(pipeline: &Pipeline, platform: &Platform) -> Self {
+        let size = 1usize << platform.n_procs();
+        let mut all_fail = vec![LogProb::ONE; size];
+        let mut t = MaskTables {
+            fp_cost: vec![0.0; size],
+            max_speed: vec![0.0; size],
+            input_comm: vec![0.0; size],
+        };
+        for mask in 1..size {
+            let top = mask.ilog2() as usize;
+            let rest = mask & !(1 << top);
+            let u = ProcId::new(top);
+            all_fail[mask] = all_fail[rest] * LogProb::from_prob(platform.failure_prob(u));
+            t.fp_cost[mask] = -all_fail[mask].one_minus().ln();
+            t.max_speed[mask] = t.max_speed[rest].max(platform.speed(u));
+            t.input_comm[mask] = t.input_comm[rest]
+                + platform.comm_time(Vertex::In, Vertex::Proc(u), pipeline.input_size());
+        }
+        t
+    }
 }
 
 /// Per-worker search telemetry from one parallel (or sequential) run.
@@ -157,13 +217,24 @@ struct TreeCtx<'a> {
     pipeline: &'a Pipeline,
     platform: &'a Platform,
     /// Cached bound ingredients: the pipeline prefix sums (suffix work in
-    /// O(1)), the fastest speed, and the cheapest I/O links.
+    /// O(1)) and the cheapest I/O links.
     ctx: EvalContext<'a>,
+    tables: &'a MaskTables,
     objective: Objective,
     n: usize,
     m: usize,
     full: u32,
+    /// `1 − (n + 8)·ε`: scales the latency bound below every leaf it
+    /// bounds. The bound sums at most 4 rounded terms and a leaf at most
+    /// `n + 1`; reassociating them moves a sum of nonnegative terms by
+    /// under `(n + 6)·ε/2` relative, so the deflated bound stays sound.
+    lat_deflate: f64,
 }
+
+/// Deflation of the free-set failure cost in the failure bound: the table
+/// entry of a replica subset can, across `LogProb::one_minus`'s two
+/// formulas, round an ulp below that of its superset.
+const FP_DEFLATE: f64 = 1.0 - 4.0 * f64::EPSILON;
 
 /// Mutable cross-worker state: the published incumbent value and the work
 /// claim counter.
@@ -231,7 +302,27 @@ fn pending_of(stack: &[(usize, u32)]) -> Option<(usize, usize, u32)> {
     })
 }
 
-impl TreeCtx<'_> {
+impl<'a> TreeCtx<'a> {
+    fn new(
+        pipeline: &'a Pipeline,
+        platform: &'a Platform,
+        tables: &'a MaskTables,
+        objective: Objective,
+    ) -> Self {
+        let (n, m) = (pipeline.n_stages(), platform.n_procs());
+        TreeCtx {
+            pipeline,
+            platform,
+            ctx: EvalContext::new(pipeline, platform),
+            tables,
+            objective,
+            n,
+            m,
+            full: (1u32 << m) - 1,
+            lat_deflate: 1.0 - (n as f64 + 8.0) * f64::EPSILON,
+        }
+    }
+
     /// Latency contribution of closing interval `(start..=end, alloc_prev)`
     /// toward the next replica mask (`None` = toward `P_out`).
     fn close_cost(&self, start: usize, end: usize, prev_mask: u32, next_mask: Option<u32>) -> f64 {
@@ -267,53 +358,91 @@ impl TreeCtx<'_> {
         worst
     }
 
-    /// Optimistic lower bound on the pending interval's remaining cost:
-    /// its work on the fastest replica, no outgoing communication.
-    fn pending_min(&self, start: usize, end: usize, mask: u32) -> f64 {
+    /// Lower bound on closing the pending interval `(start..=end, mask)`
+    /// toward a next interval on a subset of `free`: eq. (2) takes the max
+    /// over replicas, and each replica runs the whole interval and then
+    /// sends `δ_{end+1}` at least once, over its best link into `free`.
+    /// Each replica's term is at most its [`Self::close_cost`] term bit
+    /// for bit: `size / max bandwidth` is the min of `size / bandwidth`.
+    fn pending_floor(&self, start: usize, end: usize, mask: u32, free: u32) -> f64 {
         let work = self.pipeline.work_sum(start, end);
-        let mut best = f64::INFINITY;
+        let size = self.pipeline.delta(end + 1);
+        let mut worst = 0.0f64;
         let mut mm = mask;
         while mm != 0 {
             let u = ProcId::new(mm.trailing_zeros() as usize);
             mm &= mm - 1;
-            best = best.min(work / self.platform.speed(u));
-        }
-        best
-    }
-
-    /// Partial latency after opening a new interval on `sub`: close the
-    /// pending interval toward it, or (first interval) pay the serialized
-    /// input transfers from `P_in`.
-    fn open_lat(&self, pending: Option<(usize, usize, u32)>, lat_partial: f64, sub: u32) -> f64 {
-        let mut lat = lat_partial;
-        if let Some((s, e, mask)) = pending {
-            lat += self.close_cost(s, e, mask, Some(sub));
-        } else {
-            let mut vv = sub;
+            let mut best_bw = 0.0f64;
+            let mut vv = free;
             while vv != 0 {
                 let v = ProcId::new(vv.trailing_zeros() as usize);
                 vv &= vv - 1;
-                lat += self.platform.comm_time(
-                    Vertex::In,
-                    Vertex::Proc(v),
-                    self.pipeline.input_size(),
-                );
+                best_bw = best_bw.max(self.platform.bandwidth(Vertex::Proc(u), Vertex::Proc(v)));
+            }
+            let send = if size == 0.0 { 0.0 } else { size / best_bw };
+            worst = worst.max(work / self.platform.speed(u) + send);
+        }
+        worst
+    }
+
+    /// Partial latency after opening a new interval on `sub`: close the
+    /// pending interval toward it, or (first interval, from a zero partial
+    /// latency) pay the serialized input transfers from `P_in`.
+    fn open_lat(&self, pending: Option<(usize, usize, u32)>, lat_partial: f64, sub: u32) -> f64 {
+        match pending {
+            Some((s, e, mask)) => lat_partial + self.close_cost(s, e, mask, Some(sub)),
+            None => lat_partial + self.tables.input_comm[sub as usize],
+        }
+    }
+
+    /// What closing the pending interval `(start..=end, mask)` toward the
+    /// next interval adds to the partial latency, for every submask of
+    /// `free`: `out[r]` is for the `r`-th submask in ascending order (bit
+    /// `j` of `r` = the `j`-th processor of `free`), bit-identical to
+    /// [`Self::close_cost`]. Per replica, the serialized sends to a
+    /// submask extend those to the submask without its highest
+    /// processor, which is `close_cost`'s ascending loop; `row` is
+    /// scratch.
+    fn open_costs(
+        &self,
+        (start, end, mask): (usize, usize, u32),
+        free: u32,
+        out: &mut Vec<f64>,
+        row: &mut Vec<f64>,
+    ) {
+        let len = 1usize << free.count_ones();
+        out.clear();
+        out.resize(len, f64::NEG_INFINITY);
+        row.resize(len, 0.0);
+        let work = self.pipeline.work_sum(start, end);
+        let size = self.pipeline.delta(end + 1);
+        let mut mm = mask;
+        while mm != 0 {
+            let p = ProcId::new(mm.trailing_zeros() as usize);
+            mm &= mm - 1;
+            let u = Vertex::Proc(p);
+            let mut link = [0.0f64; MAX_PROCS];
+            let mut vv = free;
+            for l in link.iter_mut().take(free.count_ones() as usize) {
+                let v = Vertex::Proc(ProcId::new(vv.trailing_zeros() as usize));
+                vv &= vv - 1;
+                *l = self.platform.comm_time(u, v, size);
+            }
+            row[0] = work / self.platform.speed(p);
+            for r in 1..len {
+                let j = r.ilog2() as usize;
+                row[r] = row[r & !(1 << j)] + link[j];
+                if row[r] > out[r] {
+                    out[r] = row[r];
+                }
             }
         }
-        lat
     }
 
     /// Accumulated `-ln(success)` after adding an interval replicated on
     /// `sub`.
     fn interval_fp_cost(&self, fp_cost_partial: f64, sub: u32) -> f64 {
-        let mut all_fail = LogProb::ONE;
-        let mut vv = sub;
-        while vv != 0 {
-            let v = ProcId::new(vv.trailing_zeros() as usize);
-            vv &= vv - 1;
-            all_fail = all_fail * LogProb::from_prob(self.platform.failure_prob(v));
-        }
-        fp_cost_partial - all_fail.one_minus().ln()
+        fp_cost_partial + self.tables.fp_cost[sub as usize]
     }
 
     /// Canonical `(objective value, secondary criterion)` key of a leaf.
@@ -327,30 +456,38 @@ impl TreeCtx<'_> {
     /// Sound lower bounds at a node: `(value_lb, secondary_lb, infeasible)`
     /// where `infeasible` means no completion can satisfy the constraint.
     /// `lat_partial` excludes the pending interval's own term; `pending` is
-    /// `(start, end, mask)` of the not-yet-closed interval.
+    /// `(start, end, mask)` of the not-yet-closed interval; `free` is the
+    /// set of processors no interval uses yet.
     fn node_bounds(
         &self,
         lat_partial: f64,
         fp_cost_partial: f64,
         pending: Option<(usize, usize, u32)>,
         next_stage: usize,
+        free: u32,
     ) -> (f64, f64, bool) {
-        // Sound optimistic completion of the latency.
         let mut lb = lat_partial;
-        match pending {
-            Some((s, e, mask)) => lb += self.pending_min(s, e, mask),
-            // No interval opened yet: the first interval will pay at
-            // least one input transfer over the cheapest P_in link.
-            None => lb += self.ctx.min_input_comm(),
-        }
+        let mut fp_cost = fp_cost_partial;
         if next_stage < self.n {
-            // Remaining stages run at best on the globally fastest
-            // processor, and the final interval pays at least the
-            // cheapest P_out transfer of the pipeline output.
-            lb += self.ctx.suffix_work(next_stage) / self.ctx.max_speed()
+            if free == 0 {
+                return (f64::INFINITY, f64::INFINITY, true); // no processors left
+            }
+            match pending {
+                Some((s, e, mask)) => lb += self.pending_floor(s, e, mask, free),
+                // No interval opened yet: the first interval will pay at
+                // least one input transfer over the cheapest P_in link.
+                None => lb += self.ctx.min_input_comm(),
+            }
+            // The remaining stages run at best on the fastest free
+            // processor, the final interval pays at least the cheapest
+            // P_out transfer, and the next interval's replicas all come
+            // from `free`.
+            lb += self.ctx.suffix_work(next_stage) / self.tables.max_speed[free as usize]
                 + self.ctx.min_output_comm();
+            fp_cost += self.tables.fp_cost[free as usize] * FP_DEFLATE;
         }
-        let fp_lb = -(-fp_cost_partial).exp_m1(); // FP of the closed prefix
+        let lb = lb * self.lat_deflate;
+        let fp_lb = -(-fp_cost).exp_m1();
         match self.objective {
             Objective::MinFpUnderLatency(_) => {
                 (fp_lb, lb, lb > self.objective.threshold_with_slack())
@@ -464,6 +601,10 @@ struct Search<'a> {
     carry: Option<BiSolution>,
     /// Decision stack: per interval `(end stage, replica mask)`.
     stack: Vec<(usize, u32)>,
+    /// Per-depth [`TreeCtx::open_costs`] tables, reused across nodes.
+    open_bufs: Vec<Vec<f64>>,
+    /// Scratch row for [`TreeCtx::open_costs`].
+    row: Vec<f64>,
     nodes: u64,
     improvements: u64,
     /// Set once the budget expires; unwinds the whole DFS.
@@ -544,10 +685,11 @@ impl Search<'_> {
         fp_cost_partial: f64,
         pending: Option<(usize, usize, u32)>,
         next_stage: usize,
+        free: u32,
     ) -> bool {
         let (value_lb, sec_lb, infeasible) =
             self.t
-                .node_bounds(lat_partial, fp_cost_partial, pending, next_stage);
+                .node_bounds(lat_partial, fp_cost_partial, pending, next_stage, free);
         if infeasible {
             return true;
         }
@@ -578,39 +720,50 @@ impl Search<'_> {
         let free = self.t.full & !used;
         let pending = pending_of(&self.stack);
 
+        // Every work unit opens at least one interval.
+        let pending_iv = pending.expect("at least one interval");
         if next_stage == self.t.n {
             // Close the pending interval toward P_out.
-            let (start, end, mask) = pending.expect("at least one interval");
+            let (start, end, mask) = pending_iv;
             let latency = lat_partial + self.t.close_cost(start, end, mask, None);
             let fp = -(-fp_cost_partial).exp_m1();
             self.consider_leaf(latency, fp);
             return;
         }
-        if self.pruned(lat_partial, fp_cost_partial, pending, next_stage) {
+        if self.pruned(lat_partial, fp_cost_partial, pending, next_stage, free) {
             return;
         }
-        if free == 0 {
-            return; // no processors left for the remaining stages
-        }
 
+        // Opening the next interval costs the same wherever it ends, so
+        // tabulate it once per node rather than once per child.
+        let depth = self.stack.len();
+        let mut open = std::mem::take(&mut self.open_bufs[depth]);
+        self.t
+            .open_costs(pending_iv, free, &mut open, &mut self.row);
         for end in next_stage..self.t.n {
             // Enumerate non-empty submasks of the free set for the next
-            // interval.
+            // interval, descending, so `rank` counts down with them.
             let mut sub = free;
+            let mut rank = open.len();
             while sub != 0 {
-                let lat = self.t.open_lat(pending, lat_partial, sub);
+                rank -= 1;
+                let lat = lat_partial + open[rank];
                 let fp_cost = self.t.interval_fp_cost(fp_cost_partial, sub);
 
                 self.stack.push((end, sub));
                 self.dfs(end + 1, used | sub, lat, fp_cost);
                 self.stack.pop();
                 if self.aborted {
-                    return;
+                    break;
                 }
 
                 sub = (sub - 1) & free;
             }
+            if self.aborted {
+                break;
+            }
         }
+        self.open_bufs[depth] = open;
     }
 }
 
@@ -657,6 +810,8 @@ impl Driver<'_> {
             carry_gate: self.carry_gate,
             carry: None,
             stack: Vec::with_capacity(self.t.n),
+            open_bufs: vec![Vec::new(); self.t.n + 1],
+            row: Vec::new(),
             nodes: 0,
             improvements: 0,
             aborted: false,
@@ -734,6 +889,7 @@ impl<'a> BranchBound<'a> {
             seed_with_heuristics: true,
             threads: 1,
             split_depth: 1,
+            tables: OnceLock::new(),
         }
     }
 
@@ -793,17 +949,11 @@ impl<'a> BranchBound<'a> {
             m <= MAX_PROCS,
             "branch and bound supports at most {MAX_PROCS} processors"
         );
-        let n = self.pipeline.n_stages();
-        let full: u32 = if m == 32 { u32::MAX } else { (1u32 << m) - 1 };
-        let t = TreeCtx {
-            pipeline: self.pipeline,
-            platform: self.platform,
-            ctx: EvalContext::new(self.pipeline, self.platform),
-            objective,
-            n,
-            m,
-            full,
-        };
+        let tables = self
+            .tables
+            .get_or_init(|| MaskTables::new(self.pipeline, self.platform));
+        let t = TreeCtx::new(self.pipeline, self.platform, tables, objective);
+        let (n, full) = (t.n, t.full);
         // Seeds only ever tighten the shared bound; answers come from the
         // tree, so an (always feasible) seed provably cannot change them.
         let seed = incumbent.filter(|s| objective.feasible(s.latency, s.failure_prob));
@@ -816,7 +966,7 @@ impl<'a> BranchBound<'a> {
 
         // Root-level check: an infeasible or empty instance finishes
         // without enumerating the (possibly huge) unit space.
-        let (_, _, root_infeasible) = t.node_bounds(0.0, 0.0, None, 0);
+        let (_, _, root_infeasible) = t.node_bounds(0.0, 0.0, None, 0, full);
         if root_infeasible {
             return RunOutput {
                 outcome: Budgeted::Complete(None),
@@ -937,7 +1087,7 @@ impl<'a> BranchBound<'a> {
     /// search starts polling the budget immediately.
     ///
     /// # Panics
-    /// When the platform has more than 24 processors.
+    /// When the platform has more than 16 processors.
     #[must_use]
     pub fn solve_with_budget_seeded(
         &self,
@@ -952,7 +1102,7 @@ impl<'a> BranchBound<'a> {
     /// search telemetry.
     ///
     /// # Panics
-    /// When the platform has more than 24 processors.
+    /// When the platform has more than 16 processors.
     #[must_use]
     pub fn solve_with_budget_seeded_stats(
         &self,
@@ -980,7 +1130,7 @@ impl<'a> BranchBound<'a> {
     /// Solves the threshold problem exactly; `None` when infeasible.
     ///
     /// # Panics
-    /// When the platform has more than 24 processors.
+    /// When the platform has more than 16 processors.
     #[must_use]
     pub fn solve(&self, objective: Objective) -> Option<BiSolution> {
         self.run(objective, &Budget::unlimited())
@@ -994,7 +1144,7 @@ impl<'a> BranchBound<'a> {
     /// means the budget expired before any feasible solution was found.
     ///
     /// # Panics
-    /// When the platform has more than 24 processors.
+    /// When the platform has more than 16 processors.
     #[must_use]
     pub fn solve_with_budget(
         &self,
@@ -1028,6 +1178,122 @@ mod tests {
         let lo = ex.min_latency().latency;
         let hi = crate::mono::minimize_failure(pipe, pf).latency;
         (0..4).map(|i| lo + (hi - lo) * i as f64 / 3.0).collect()
+    }
+
+    fn het_instance(seed: u64, n: usize, m: usize) -> (Pipeline, Platform) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pipe = PipelineGen::balanced(n).sample(&mut rng);
+        let pf = PlatformGen::new(
+            m,
+            PlatformClass::FullyHeterogeneous,
+            FailureClass::Heterogeneous,
+        )
+        .sample(&mut rng);
+        (pipe, pf)
+    }
+
+    /// Brute force below one node: checks the node's bounds against the
+    /// best completion beneath it, and the per-node open-cost table
+    /// against the per-child computation it replaces; returns the
+    /// `(least latency, least failure probability)` over its leaves.
+    fn brute_force_below(
+        t: &TreeCtx,
+        stack: &mut Vec<(usize, u32)>,
+        next_stage: usize,
+        used: u32,
+        lat: f64,
+        fp_cost: f64,
+    ) -> Option<(f64, f64)> {
+        let pending = pending_of(stack);
+        if next_stage == t.n {
+            let (start, end, mask) = pending.expect("a leaf has an interval");
+            let latency = lat + t.close_cost(start, end, mask, None);
+            return Some((latency, -(-fp_cost).exp_m1()));
+        }
+        let free = t.full & !used;
+        let (mut open, mut row) = (Vec::new(), Vec::new());
+        if let Some(p) = pending {
+            t.open_costs(p, free, &mut open, &mut row);
+        }
+        let mut best: Option<(f64, f64)> = None;
+        for end in next_stage..t.n {
+            let (mut sub, mut rank) = (free, 1usize << free.count_ones());
+            while sub != 0 {
+                rank -= 1;
+                let child_lat = t.open_lat(pending, lat, sub);
+                if pending.is_some() {
+                    assert_eq!((lat + open[rank]).to_bits(), child_lat.to_bits());
+                }
+                stack.push((end, sub));
+                let below = brute_force_below(
+                    t,
+                    stack,
+                    end + 1,
+                    used | sub,
+                    child_lat,
+                    t.interval_fp_cost(fp_cost, sub),
+                );
+                stack.pop();
+                if let Some((l, f)) = below {
+                    best = Some(best.map_or((l, f), |(bl, bf)| (bl.min(l), bf.min(f))));
+                }
+                sub = (sub - 1) & free;
+            }
+        }
+        if let Some((least_lat, least_fp)) = best {
+            // Under MinLatencyUnderFp the bounds come as (latency, FP).
+            let (lat_lb, fp_lb, _) = t.node_bounds(lat, fp_cost, pending, next_stage, free);
+            assert!(
+                lat_lb <= least_lat,
+                "latency bound {lat_lb:e} above best completion {least_lat:e} at {stack:?}"
+            );
+            assert!(
+                fp_lb <= least_fp,
+                "FP bound {fp_lb:e} above best completion {least_fp:e} at {stack:?}"
+            );
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// At every node of the full tree, both lower bounds are at most
+        /// the best completion brute force finds below it, bit for bit.
+        #[test]
+        fn bounds_never_exceed_the_best_completion(
+            seed in 0u64..100_000,
+            n in 1usize..=4,
+            m in 2usize..=5,
+        ) {
+            let (pipe, pf) = het_instance(seed, n, m);
+            let tables = MaskTables::new(&pipe, &pf);
+            let t = TreeCtx::new(&pipe, &pf, &tables, Objective::MinLatencyUnderFp(1.0));
+            brute_force_below(&t, &mut Vec::new(), 0, 0, 0.0, 0.0);
+        }
+    }
+
+    #[test]
+    fn mask_tables_replay_the_replica_loops() {
+        let (pipe, pf) = het_instance(45, 3, 7);
+        let t = MaskTables::new(&pipe, &pf);
+        for mask in 1..(1usize << pf.n_procs()) {
+            let (mut all_fail, mut input, mut fastest) = (LogProb::ONE, 0.0, f64::NEG_INFINITY);
+            for u in (0..pf.n_procs())
+                .filter(|u| mask & (1 << u) != 0)
+                .map(ProcId::new)
+            {
+                all_fail = all_fail * LogProb::from_prob(pf.failure_prob(u));
+                input += pf.comm_time(Vertex::In, Vertex::Proc(u), pipe.input_size());
+                fastest = f64::max(fastest, pf.speed(u));
+            }
+            assert_eq!(
+                t.fp_cost[mask].to_bits(),
+                (-all_fail.one_minus().ln()).to_bits()
+            );
+            assert_eq!(t.input_comm[mask].to_bits(), input.to_bits());
+            assert_eq!(t.max_speed[mask].to_bits(), fastest.to_bits());
+        }
     }
 
     #[test]
@@ -1334,17 +1600,18 @@ mod tests {
     #[test]
     fn parallel_cutoff_is_sound_and_cancels_all_workers() {
         // Mid-search expiry: all workers must stop promptly and any
-        // reported incumbent must be feasible.
+        // reported incumbent must be feasible. The instance takes about a
+        // second to search sequentially in a release build.
         let mut rng = StdRng::seed_from_u64(44);
-        let pipe = PipelineGen::balanced(8).sample(&mut rng);
+        let pipe = PipelineGen::balanced(10).sample(&mut rng);
         let pf = PlatformGen::new(
-            12,
+            14,
             PlatformClass::FullyHeterogeneous,
             FailureClass::Heterogeneous,
         )
         .sample(&mut rng);
         let objective =
-            Objective::MinFpUnderLatency(crate::mono::minimize_failure(&pipe, &pf).latency);
+            Objective::MinFpUnderLatency(crate::mono::minimize_failure(&pipe, &pf).latency * 0.5);
         let budget = Budget::with_deadline(std::time::Duration::from_millis(30));
         let start = std::time::Instant::now();
         let outcome = BranchBound::new(&pipe, &pf)

@@ -24,8 +24,8 @@
 //! lets the heuristics adopt the fast path without changing any result.
 //!
 //! [`EvalContext`] additionally caches per-processor `ln fp_u` terms and
-//! platform-wide bound ingredients (max speed, cheapest I/O links) reused
-//! by the branch-and-bound lower bounds and the DP solvers.
+//! platform-wide bound ingredients (suffix work, cheapest I/O links)
+//! reused by the branch-and-bound lower bounds.
 
 use crate::mapping::{Interval, IntervalMapping};
 use crate::metrics::{input_comm_cost, interval_cost};
@@ -63,8 +63,6 @@ pub struct EvalContext<'a> {
     platform: &'a Platform,
     /// `ln fp_u` per processor (log-space failure probability).
     ln_fp: Vec<f64>,
-    /// Fastest speed on the platform.
-    s_max: f64,
     /// `min_u δ_0/b_{in,u}` — cheapest possible input communication.
     min_input_comm: f64,
     /// `min_u δ_n/b_{u,out}` — cheapest possible output communication.
@@ -79,11 +77,6 @@ impl<'a> EvalContext<'a> {
             .procs()
             .map(|u| LogProb::from_prob(platform.failure_prob(u)).ln())
             .collect();
-        let s_max = platform
-            .speeds()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
         let min_input_comm = platform
             .procs()
             .map(|u| platform.comm_time(Vertex::In, Vertex::Proc(u), pipeline.input_size()))
@@ -96,7 +89,6 @@ impl<'a> EvalContext<'a> {
             pipeline,
             platform,
             ln_fp,
-            s_max,
             min_input_comm,
             min_output_comm,
         }
@@ -140,13 +132,6 @@ impl<'a> EvalContext<'a> {
         } else {
             self.pipeline.work_sum(stage, n - 1)
         }
-    }
-
-    /// Fastest processor speed on the platform.
-    #[inline]
-    #[must_use]
-    pub fn max_speed(&self) -> f64 {
-        self.s_max
     }
 
     /// Cheapest `P_in → P_u` transfer of the pipeline input — a sound
@@ -1188,7 +1173,6 @@ mod tests {
     fn context_bound_helpers() {
         let (pipe, pf) = het();
         let ctx = EvalContext::new(&pipe, &pf);
-        assert_eq!(ctx.max_speed(), 3.0);
         assert_eq!(ctx.suffix_work(0), pipe.work_sum(0, 3));
         assert_eq!(ctx.suffix_work(4), 0.0);
         // min input comm: δ0 = 5, best input bandwidth is 4.0 on P0.

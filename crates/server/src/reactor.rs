@@ -152,17 +152,22 @@ struct WakeReader {
 }
 
 impl WakeReader {
-    /// Drains the pipe and clears the pending flag. Clearing *before*
-    /// the caller drains its inbox keeps the classic race safe: a
-    /// producer that enqueues after the drain sees the cleared flag and
-    /// writes a fresh byte, so the next poll returns immediately.
+    /// Empties the pipe, then clears the pending flag; the caller drains
+    /// its inbox after that. A wake landing before the clear finds the
+    /// flag set and writes nothing, but its message is already in the
+    /// inbox the caller is about to drain. A wake after the clear writes
+    /// a fresh byte, so the next poll returns at once. Clearing first
+    /// would let a wake between the clear and the read have its byte
+    /// swallowed while its flag stays set: every later wake would then
+    /// skip the write, and the thread would only see its inbox on
+    /// socket events or the idle poll.
     fn drain(&mut self) {
-        self.pending.store(false, Ordering::SeqCst);
         #[cfg(unix)]
         {
             let mut buf = [0u8; 64];
             while matches!(self.reader.read(&mut buf), Ok(n) if n > 0) {}
         }
+        self.pending.store(false, Ordering::SeqCst);
     }
 }
 
@@ -1659,6 +1664,49 @@ fn sniff_u64(line: &str, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A producer hammering `wake` while the event thread drains must
+    /// never leave a message behind a poll that sleeps: every wait for
+    /// the pipe has to return well before the idle poll would.
+    #[cfg(unix)]
+    #[test]
+    fn wake_racing_a_drain_is_never_lost() {
+        use std::os::unix::io::AsRawFd;
+        let (mut reader, handle) = wake_pair().expect("wake pair");
+        let inbox = Arc::new(Inbox {
+            msgs: Mutex::new(Vec::new()),
+        });
+        let done = Arc::new(AtomicBool::new(false));
+        let producer = {
+            let (inbox, done) = (Arc::clone(&inbox), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    inbox.push(Msg::Flush(0));
+                    handle.wake();
+                }
+            })
+        };
+        let start = Instant::now();
+        let mut rounds = 0u64;
+        let mut lost = false;
+        while start.elapsed() < Duration::from_millis(500) {
+            let mut fds = [sys::PollFd {
+                fd: reader.reader.as_raw_fd(),
+                events: sys::POLLIN,
+                revents: 0,
+            }];
+            if sys::poll(&mut fds, IDLE_POLL_MS) == 0 {
+                lost = true;
+                break;
+            }
+            reader.drain();
+            inbox.drain();
+            rounds += 1;
+        }
+        done.store(true, Ordering::Relaxed);
+        producer.join().expect("producer");
+        assert!(!lost, "a wake was lost after {rounds} drains");
+    }
 
     #[test]
     fn deadline_sniff_matches_full_parse() {

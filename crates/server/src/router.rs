@@ -117,15 +117,15 @@ pub trait Router: Send + Sync {
         false
     }
 
-    /// `true` when the transport should execute this request line inline
-    /// on its connection reader thread instead of queueing it on the
-    /// worker pool. Fleet routers claim **hopped** (peer-forwarded)
-    /// requests: if forwarded work competed for the same bounded worker
-    /// pools that block on forwarding, two nodes saturated with
-    /// cross-traffic could deadlock — every worker of each waiting on a
-    /// hopped job queued behind every worker of the other. Inline
-    /// execution keeps forwarded work on the (per-peer-connection)
-    /// reader threads, so a `Peer::call` always completes.
+    /// `true` when the reactor should run this request line on its
+    /// dedicated hop lane (a small set of hop-executor threads) instead
+    /// of passing it through admission onto the solve worker pool. Fleet
+    /// routers claim **hopped** (peer-forwarded) requests: if forwarded
+    /// work competed for the same bounded worker pools whose requests
+    /// wait on forwards, two nodes saturated with cross-traffic could
+    /// deadlock — every worker of each waiting on a hopped job queued
+    /// behind every worker of the other. Hopped work is always answered
+    /// locally, so on its own lane every peer forward completes.
     fn handles_inline(&self, _line: &str) -> bool {
         false
     }
