@@ -300,7 +300,12 @@ pub enum Want {
         /// [`SolveReport::front`] so callers with a cache can amortize it
         /// across later queries. With `keep_front: false` the engine runs
         /// the cheaper per-threshold race instead (identical answers on
-        /// complete runs — both read the same exact solution).
+        /// complete runs — both read the same exact solution). Where the
+        /// front backend is itself a point solver (`bitmask-dp`,
+        /// `exhaustive`) the front costs about what the point does; where
+        /// the front is a sweep of point searches (`bnb-sweep`) it costs
+        /// several, so the serving layer keeps the front only for an
+        /// instance asked before.
         keep_front: bool,
     },
     /// The whole bi-objective Pareto front.

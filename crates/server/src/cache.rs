@@ -11,6 +11,13 @@
 //! Non-front results (Monte Carlo simulation) are cached per query as
 //! opaque serialized trees, as before.
 //!
+//! Where the exact front is a sweep of point searches, a key's first
+//! `Solve` is answered without building the front and leaves only a
+//! payload-free [`CachedEntry::Seen`] marker; the second ask builds the
+//! front, which replaces it. A marker is never served: a lookup that
+//! finds one counts as a miss, and markers are counted apart from
+//! entries ([`CacheStats::markers`]).
+//!
 //! Sharding by the key's low bits keeps lock contention negligible under
 //! concurrent workers; each shard is a small `HashMap` with recency ticks
 //! and evicts its least-recently-used entry when full (linear scan —
@@ -61,16 +68,32 @@ pub enum CachedEntry {
     Front(CachedFront),
     /// An opaque per-query result keyed by `(command, instance, query)`.
     Result(CachedResult),
+    /// A payload-free marker keyed by instance hash: the instance was
+    /// asked once and answered without building its front. Never served
+    /// and never replicated; a front (local or via `CacheFill`) replaces
+    /// it.
+    Seen,
 }
 
-struct Entry<V> {
-    value: V,
+impl CachedEntry {
+    /// `true` for the payload-free [`CachedEntry::Seen`] marker: a lookup
+    /// that finds one counts as a miss, and markers are counted apart
+    /// from entries.
+    fn is_marker(&self) -> bool {
+        matches!(self, CachedEntry::Seen)
+    }
+}
+
+struct Entry {
+    value: CachedEntry,
     tick: u64,
 }
 
-struct Shard<V> {
-    map: HashMap<u128, Entry<V>>,
+struct Shard {
+    map: HashMap<u128, Entry>,
     clock: u64,
+    /// Live entries that are markers (kept in step with `map`).
+    markers: usize,
     // Counters live inside the shard (they are only touched under its
     // lock anyway), so observability can report per-shard skew instead of
     // a fleet-blind aggregate.
@@ -88,20 +111,22 @@ pub struct CacheStats {
     pub misses: u64,
     /// Evictions to stay under capacity.
     pub evictions: u64,
-    /// Live entries.
+    /// Live entries, markers excluded.
     pub entries: usize,
+    /// Live payload-free [`CachedEntry::Seen`] markers.
+    pub markers: usize,
 }
 
-/// The sharded LRU cache, generic in what a slot holds.
-pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Shard<V>>>,
+/// The sharded LRU cache of [`CachedEntry`] slots.
+pub struct ShardedLru {
+    shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
 }
 
-/// The service's cache type: fronts plus per-query results.
-pub type SolutionCache = ShardedLru<CachedEntry>;
+/// The service's cache type: fronts, per-query results and markers.
+pub type SolutionCache = ShardedLru;
 
-impl<V: Clone> ShardedLru<V> {
+impl ShardedLru {
     /// A cache of roughly `capacity` entries across `shards` shards.
     /// Zero `capacity` disables caching (every lookup misses).
     #[must_use]
@@ -114,6 +139,7 @@ impl<V: Clone> ShardedLru<V> {
                     Mutex::new(Shard {
                         map: HashMap::new(),
                         clock: 0,
+                        markers: 0,
                         hits: 0,
                         misses: 0,
                         evictions: 0,
@@ -136,14 +162,15 @@ impl<V: Clone> ShardedLru<V> {
         self.per_shard_capacity * self.shards.len()
     }
 
-    fn shard(&self, key: u128) -> &Mutex<Shard<V>> {
+    fn shard(&self, key: u128) -> &Mutex<Shard> {
         // Low bits of the FNV digest are well mixed.
         &self.shards[(key as usize) % self.shards.len()]
     }
 
-    /// Looks up a key, refreshing its recency on hit.
+    /// Looks up a key, refreshing its recency when found. Finding a
+    /// marker returns it but counts as a miss.
     #[must_use]
-    pub fn get(&self, key: u128) -> Option<V> {
+    pub fn get(&self, key: u128) -> Option<CachedEntry> {
         let mut shard = self.shard(key).lock().expect("cache shard lock");
         shard.clock += 1;
         let tick = shard.clock;
@@ -152,15 +179,15 @@ impl<V: Clone> ShardedLru<V> {
             entry.value.clone()
         });
         match &value {
-            Some(_) => shard.hits += 1,
-            None => shard.misses += 1,
+            Some(v) if !v.is_marker() => shard.hits += 1,
+            _ => shard.misses += 1,
         }
         value
     }
 
     /// Inserts (or refreshes) a key, evicting the shard's LRU entry when
     /// full. No-op when the cache has zero capacity.
-    pub fn insert(&self, key: u128, value: V) {
+    pub fn insert(&self, key: u128, value: CachedEntry) {
         let _ = self.insert_if(key, value, |_| true);
     }
 
@@ -171,7 +198,12 @@ impl<V: Clone> ShardedLru<V> {
     /// the value was stored (`false`: zero capacity, or the incumbent
     /// was kept) — the fleet layer uses this to report replica-fill
     /// outcomes and to replicate only writes that actually landed.
-    pub fn insert_if(&self, key: u128, value: V, replace: impl FnOnce(&V) -> bool) -> bool {
+    pub fn insert_if(
+        &self,
+        key: u128,
+        value: CachedEntry,
+        replace: impl FnOnce(&CachedEntry) -> bool,
+    ) -> bool {
         if self.per_shard_capacity == 0 {
             return false;
         }
@@ -184,11 +216,15 @@ impl<V: Clone> ShardedLru<V> {
             }
         } else if shard.map.len() >= self.per_shard_capacity {
             if let Some((&lru, _)) = shard.map.iter().min_by_key(|(_, e)| e.tick) {
-                shard.map.remove(&lru);
+                let evicted = shard.map.remove(&lru).expect("key just found");
+                shard.markers -= usize::from(evicted.value.is_marker());
                 shard.evictions += 1;
             }
         }
-        shard.map.insert(key, Entry { value, tick });
+        shard.markers += usize::from(value.is_marker());
+        if let Some(old) = shard.map.insert(key, Entry { value, tick }) {
+            shard.markers -= usize::from(old.value.is_marker());
+        }
         true
     }
 
@@ -202,6 +238,7 @@ impl<V: Clone> ShardedLru<V> {
                 misses: acc.misses + s.misses,
                 evictions: acc.evictions + s.evictions,
                 entries: acc.entries + s.entries,
+                markers: acc.markers + s.markers,
             })
     }
 
@@ -217,7 +254,8 @@ impl<V: Clone> ShardedLru<V> {
                     hits: shard.hits,
                     misses: shard.misses,
                     evictions: shard.evictions,
-                    entries: shard.map.len(),
+                    entries: shard.map.len() - shard.markers,
+                    markers: shard.markers,
                 }
             })
             .collect()
@@ -234,7 +272,7 @@ impl<V: Clone> ShardedLru<V> {
     /// instance hash the ring places — against ring ownership (per-query
     /// result entries are keyed by `cache_key`, a different hash space).
     #[must_use]
-    pub fn keys_where(&self, mut keep: impl FnMut(&V) -> bool) -> Vec<u128> {
+    pub fn keys_where(&self, mut keep: impl FnMut(&CachedEntry) -> bool) -> Vec<u128> {
         self.shards
             .iter()
             .flat_map(|s| {
@@ -268,7 +306,7 @@ mod tests {
                 Value::Int(i) => i,
                 _ => panic!("test values are ints"),
             },
-            CachedEntry::Front(_) => panic!("test values are results"),
+            CachedEntry::Front(_) | CachedEntry::Seen => panic!("test values are results"),
         }
     }
 
@@ -315,6 +353,25 @@ mod tests {
         assert_eq!(tag_of(&cache.get(1).expect("present")), 1, "incumbent kept");
         cache.insert_if(1, value(3), |_| true);
         assert_eq!(tag_of(&cache.get(1).expect("present")), 3, "replaced");
+    }
+
+    #[test]
+    fn markers_are_misses_and_counted_apart() {
+        let cache = SolutionCache::new(2, 1);
+        cache.insert(1, CachedEntry::Seen);
+        assert!(matches!(cache.get(1), Some(CachedEntry::Seen)));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1), "a marker is a miss");
+        assert_eq!((stats.entries, stats.markers), (0, 1));
+        // A payload replaces the marker.
+        cache.insert(1, value(1));
+        assert_eq!((cache.stats().entries, cache.stats().markers), (1, 0));
+        // Evicting a marker keeps the count in step.
+        cache.insert(2, CachedEntry::Seen);
+        let _ = cache.get(1);
+        cache.insert(3, value(3));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.markers, stats.evictions), (2, 0, 1));
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! the unit of caching, batching and streaming. Threshold queries are
 //! reads off a front; the sharded LRU cache stores fronts keyed by the
 //! canonical `(pipeline, platform)` hash (completeness-aware, so budget
-//! cutoffs are reusable but never masquerade as exact); batches group
-//! requests by instance and solve one front per distinct instance; large
-//! fronts stream as bounded `front_part` chunks.
+//! cutoffs are reusable but never masquerade as exact). Where the exact
+//! front is a sweep of point searches, the first `Solve` on an instance
+//! is answered by the point race and the second builds the front; every
+//! front build is single-flight per instance. Batches group requests by
+//! instance and solve one front per distinct instance asked more than
+//! once; large fronts stream as bounded `front_part` chunks.
 //!
 //! Requests may opt into **end-to-end tracing** (`"trace": true`): every
 //! layer — decode, routing, peer forwards, engine planning, per-solver
@@ -38,7 +41,8 @@
 //!   `front_part`/`front_end` streaming, structured errors
 //!   (`timeout`/`infeasible`/`invalid`/`overloaded`/`internal`),
 //! * [`cache`] — the sharded LRU [`cache::SolutionCache`] over
-//!   [`cache::CachedEntry`] (fronts + per-query results),
+//!   [`cache::CachedEntry`] (fronts, per-query results and `Seen`
+//!   markers),
 //! * [`metrics`] — per-command latency histograms and the Prometheus-style
 //!   text dump behind the `Metrics` command,
 //! * [`router`] — the request-path routing layer: [`router::LocalRouter`]

@@ -1,5 +1,6 @@
 //! Service observability: per-command latency histograms, per-solver
-//! execution counters ([`SolverMetrics`] — the engine's solver mix), and
+//! execution counters ([`SolverMetrics`] — the engine's solver mix), the
+//! cold-`Solve` plan and single-flight counters ([`FrontMetrics`]), and
 //! a Prometheus-style plain-text dump.
 //!
 //! Recording is lock-free (one atomic increment per request into a fixed
@@ -425,6 +426,64 @@ impl ExplainMetrics {
     }
 }
 
+/// Counters for the cold-`Solve` plan choice and for single-flight front
+/// builds: which plan each `Solve` that reached the engine ran (the point
+/// race alone, or a front build the point is read off), and how many
+/// misses waited on a front build already in flight instead of starting
+/// their own.
+#[derive(Debug, Default)]
+pub struct FrontMetrics {
+    cold_point: AtomicU64,
+    cold_front: AtomicU64,
+    joins: AtomicU64,
+}
+
+impl FrontMetrics {
+    /// A fresh registry.
+    #[must_use]
+    pub fn new() -> Self {
+        FrontMetrics::default()
+    }
+
+    /// Counts one `Solve` that ran the engine, on the front plan when
+    /// `front` is set and on the point plan otherwise.
+    pub fn record_cold_plan(&self, front: bool) {
+        let counter = if front {
+            &self.cold_front
+        } else {
+            &self.cold_point
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one miss that waited on an in-flight front build.
+    pub fn record_join(&self) {
+        self.joins.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Renders `rpwf_solve_cold_plan_total` and
+    /// `rpwf_front_build_joins_total`.
+    pub fn render_prometheus(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        writeln!(out, "# TYPE rpwf_solve_cold_plan_total counter").expect("write to string");
+        for (plan, counter) in [("point", &self.cold_point), ("front", &self.cold_front)] {
+            writeln!(
+                out,
+                "rpwf_solve_cold_plan_total{{plan=\"{plan}\"}} {}",
+                counter.load(Ordering::Relaxed)
+            )
+            .expect("write to string");
+        }
+        writeln!(out, "# TYPE rpwf_front_build_joins_total counter").expect("write to string");
+        writeln!(
+            out,
+            "rpwf_front_build_joins_total {}",
+            self.joins.load(Ordering::Relaxed)
+        )
+        .expect("write to string");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,5 +695,22 @@ mod tests {
             "{text}"
         );
         assert!(!text.contains("latency_us_bucket{cmd=\"pareto\""), "{text}");
+
+        let front = FrontMetrics::new();
+        front.record_cold_plan(false);
+        front.record_cold_plan(false);
+        front.record_cold_plan(true);
+        front.record_join();
+        let mut text = String::new();
+        front.render_prometheus(&mut text);
+        assert!(
+            text.contains("rpwf_solve_cold_plan_total{plan=\"point\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("rpwf_solve_cold_plan_total{plan=\"front\"} 1"),
+            "{text}"
+        );
+        assert!(text.contains("rpwf_front_build_joins_total 1"), "{text}");
     }
 }

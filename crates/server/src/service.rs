@@ -6,13 +6,17 @@
 //! front cache (completeness-aware, keyed by the canonical instance
 //! hash), batching (one front per distinct instance), chunked
 //! `front_part` streaming, per-request deadlines and the fixed worker
-//! pool. Threshold queries are reads off a front — fresh fronts are
-//! engine answers, cached ones replay with their original
-//! [`Provenance`].
+//! pool. Threshold queries are reads off a cached front when one exists —
+//! cached fronts replay with their original [`Provenance`]. A cold
+//! threshold query builds the front only where that costs no more than
+//! the point (one-pass front backends) or the instance was asked before;
+//! otherwise it runs the point race and leaves a
+//! [`CachedEntry::Seen`] marker, so the second ask builds the front.
+//! Every front build is single-flight per instance key.
 
 use crate::admission::{Admission, ServingOptions};
 use crate::cache::{CachedEntry, CachedFront, CachedResult, SolutionCache};
-use crate::metrics::{CommandMetrics, ExplainMetrics, SolverMetrics};
+use crate::metrics::{CommandMetrics, ExplainMetrics, FrontMetrics, SolverMetrics};
 use crate::protocol::{
     CacheFillResult, CacheStatsOut, Command, ErrorKind, ExplainResult, FrontEndResult,
     FrontPartResult, GenResult, Meta, ParetoPointOut, ParetoResult, Request, Response, RingResult,
@@ -34,12 +38,16 @@ use rpwf_core::trace::{Trace, TraceId, TraceScope};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Index of the root span in every per-request trace (opened first).
 const ROOT_SPAN: u32 = 0;
+
+/// How often a miss waiting on an in-flight front build re-checks its own
+/// budget (deadline or cancellation).
+const JOIN_POLL: Duration = Duration::from_millis(10);
 
 /// Recent-window size of the slow-query ring: the [`Command::Trace`]
 /// command reports the slowest of the last this-many traced requests.
@@ -107,6 +115,77 @@ type ForwardSink = Box<dyn Fn(AsyncForward) + Send + Sync>;
 /// `CacheFill` — that is what keeps replication loop-free even when ring
 /// views disagree during a rollout.
 type FrontStoredHook = Box<dyn Fn(&Pipeline, &Platform, u128, &CachedFront) + Send + Sync>;
+
+/// How the engine builds an instance's exact front — which decides the
+/// plan of a cold `Solve` (see [`SolverService::handle_solve`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FrontBuild {
+    /// No exact front backend applies: point answers are cached per query.
+    None,
+    /// The front backend is itself a point solver (`bitmask-dp`,
+    /// `exhaustive`): one pass yields the front, so the first ask builds
+    /// it.
+    OnePass,
+    /// The front is a sweep of point searches (`bnb-sweep`): the first
+    /// ask runs the point race, the second builds the front.
+    Sweep,
+}
+
+/// What a front-cache lookup found for one request.
+enum FrontLookup {
+    /// A front this request may be answered from.
+    Usable(CachedFront),
+    /// The key is occupied by a `Seen` marker or by a front this request
+    /// may not use: the instance was asked before.
+    Seen,
+    /// Nothing under the key.
+    Miss,
+}
+
+/// One front build in flight: later misses on its key wait for it to land.
+#[derive(Default)]
+struct Flight {
+    landed: Mutex<bool>,
+    signal: Condvar,
+}
+
+impl Flight {
+    /// Blocks until the build lands or `budget` runs out.
+    fn wait(&self, budget: &Budget) {
+        let mut landed = self.landed.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*landed && !budget.is_exhausted() {
+            let slice = budget
+                .remaining()
+                .map_or(JOIN_POLL, |left| left.min(JOIN_POLL));
+            landed = self
+                .signal
+                .wait_timeout(landed, slice)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+}
+
+/// Ends a front build's flight when dropped — on unwind too, so a
+/// panicking build never strands its waiters.
+struct FlightGuard<'a> {
+    flights: &'a Mutex<HashMap<u128, Arc<Flight>>>,
+    key: u128,
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        let flight = self
+            .flights
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        if let Some(flight) = flight {
+            *flight.landed.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            flight.signal.notify_all();
+        }
+    }
+}
 
 /// Service tuning knobs.
 #[derive(Clone, Debug)]
@@ -181,6 +260,9 @@ pub struct SolverService {
     metrics: CommandMetrics,
     solver_metrics: SolverMetrics,
     explain_metrics: ExplainMetrics,
+    front_metrics: FrontMetrics,
+    /// Front builds in flight, by instance key (single-flight).
+    flights: Mutex<HashMap<u128, Arc<Flight>>>,
     trace_log: TraceLog,
     traces: AtomicU64,
     trace_spans: AtomicU64,
@@ -207,6 +289,8 @@ impl SolverService {
             metrics: CommandMetrics::new(),
             solver_metrics,
             explain_metrics: ExplainMetrics::new(),
+            front_metrics: FrontMetrics::new(),
+            flights: Mutex::new(HashMap::new()),
             trace_log: TraceLog::default(),
             traces: AtomicU64::new(0),
             trace_spans: AtomicU64::new(0),
@@ -447,22 +531,32 @@ impl SolverService {
             trace.add("decode", Some(ROOT_SPAN), 0, trace.elapsed_us(), Vec::new());
             (trace, root)
         });
+        // Counted when the closing line is handed over, not after: a
+        // client that reads its answer and then asks for `Stats` must
+        // find the request counted.
+        let mut recorded = false;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut emit_traced = |mut resp: Response| {
+                if resp.status == "part" {
+                    emit(resp);
+                    return;
+                }
                 if let Some((trace, root)) = &trace {
-                    if resp.status != "part" {
-                        trace.end(root);
-                        let tree = trace.finish();
-                        self.record_trace(TraceEntryOut {
-                            id: tree.id.0,
-                            command: name.to_string(),
-                            status: resp.status.clone(),
-                            elapsed_us: tree.root().map_or(0, |r| r.elapsed_us),
-                            node: self.node(),
-                            spans: tree.clone(),
-                        });
-                        resp.meta.trace = Some(tree);
-                    }
+                    trace.end(root);
+                    let tree = trace.finish();
+                    self.record_trace(TraceEntryOut {
+                        id: tree.id.0,
+                        command: name.to_string(),
+                        status: resp.status.clone(),
+                        elapsed_us: tree.root().map_or(0, |r| r.elapsed_us),
+                        node: self.node(),
+                        spans: tree.clone(),
+                    });
+                    resp.meta.trace = Some(tree);
+                }
+                if !recorded {
+                    self.metrics.record(name, elapsed_us(start));
+                    recorded = true;
                 }
                 emit(resp);
             };
@@ -471,6 +565,9 @@ impl SolverService {
                 .map(|(trace, _)| TraceScope::new(trace, ROOT_SPAN));
             self.handle_inner(request, received, start, cancel, scope, &mut emit_traced);
         }));
+        if !recorded {
+            self.metrics.record(name, elapsed_us(start));
+        }
         if let Err(panic) = outcome {
             emit(Response::error(
                 id,
@@ -479,7 +576,6 @@ impl SolverService {
                 self.meta_plain(start),
             ));
         }
-        self.metrics.record(name, elapsed_us(start));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -562,12 +658,24 @@ impl SolverService {
 
     // -- Front-shaped commands --------------------------------------------
 
-    /// Threshold solve = front read. The front comes from the cache when a
-    /// usable entry exists; otherwise the request collapses onto one
-    /// [`Engine::solve`] call — the engine picks the backends, races the
-    /// portfolio and handles budget cutoffs — and any front built along
-    /// the way goes back into the cache (completeness-aware) for every
-    /// later query over the same instance.
+    /// Threshold solve. A usable cached front answers by a read off it.
+    /// Otherwise one [`Engine::solve`] call answers, on a plan chosen from
+    /// the engine's capabilities (no knob):
+    ///
+    /// * where the exact front backend is itself a point solver
+    ///   (`bitmask-dp`, `exhaustive`), one pass yields the front, so the
+    ///   point is read off a freshly built front and the front is cached
+    ///   for every later query over the instance;
+    /// * where the front is a sweep of point searches (`bnb-sweep`), the
+    ///   first ask runs the point race alone and leaves a payload-free
+    ///   [`CachedEntry::Seen`] marker; the second ask (or any `Pareto` or
+    ///   `Explain`) builds and caches the front. A key asked once never
+    ///   pays for a front; a key asked repeatedly pays at most one extra
+    ///   point race;
+    /// * with no exact front backend, point answers are cached per query.
+    ///
+    /// Front builds are single-flight per instance key: a concurrent miss
+    /// waits for the build in flight and then reads the cache.
     #[allow(clippy::too_many_arguments)]
     fn handle_solve(
         &self,
@@ -584,110 +692,139 @@ impl SolverService {
         let pipeline = pipeline.clone().with_rebuilt_cache();
         let key = use_cache.then(|| instance_key(&pipeline, platform));
 
-        // 1. Answer from a cached front when one is usable.
-        let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
-        let cached = key.and_then(|k| self.usable_cached_front(k, budget));
-        cache_span(
-            trace,
-            "front",
-            lookup_start,
-            cached.is_some(),
-            cached.as_ref().map(|hit| hit.complete),
-        );
-        if let Some(hit) = cached {
-            if let Some(sol) = threshold_read(&hit.front, objective) {
-                return Response::ok(
-                    id,
-                    solve_result(sol),
-                    self.meta(true, Some(hit.solver), Some(hit.complete), start),
-                );
-            }
-            if hit.complete {
-                // A complete front proves infeasibility.
-                let mut meta = self.meta(true, Some(hit.solver), Some(true), start);
-                if explain {
-                    meta.explain = Some(self.attach_explanation(
-                        &pipeline, platform, objective, budget, use_cache, trace,
-                    ));
-                }
-                return Response::infeasible(
-                    id,
-                    objective,
-                    format!("no mapping satisfies {objective:?}"),
-                    meta,
-                );
-            }
-            // Incomplete front with no satisfying point: solve fresh.
-        }
-        if let Some(timeout) = self.doomed_solve(id, budget, start) {
-            return timeout;
-        }
-
-        // 2. The per-query result cache applies only when the engine has
-        //    no front to share (no exact front backend, or caching off):
-        //    fronts amortize across thresholds, point answers cannot.
-        //    The capability probe repeats inside Engine::solve; the scan
-        //    is a handful of class/bound checks (E18 bounds the whole
-        //    dispatch at ≲1% of a solve), accepted to keep the
-        //    cache-policy decision out of the engine.
-        let keep_front = key.is_some() && self.engine.front_backend(&pipeline, platform).is_some();
-        let qkey = (!keep_front)
-            .then(|| {
-                use_cache
-                    .then(|| {
-                        Command::Solve {
-                            pipeline: pipeline.clone(),
-                            platform: platform.clone(),
-                            objective,
-                        }
-                        .cache_key()
-                    })
-                    .flatten()
-            })
-            .flatten();
-        if let Some(k) = qkey {
+        let (report, qkey) = loop {
+            // 1. Answer from a cached front when one is usable.
             let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
-            let hit = match self.cache.get(k) {
-                Some(CachedEntry::Result(hit)) => Some(hit),
-                _ => None,
+            let lookup = key.map_or(FrontLookup::Miss, |k| self.front_lookup(k, budget));
+            let usable = match &lookup {
+                FrontLookup::Usable(hit) => Some(hit.complete),
+                FrontLookup::Seen | FrontLookup::Miss => None,
             };
-            cache_span(trace, "result", lookup_start, hit.is_some(), None);
-            if let Some(hit) = hit {
-                return Response::ok(
-                    id,
-                    hit.result,
-                    self.meta(true, hit.solver, hit.exact_complete, start),
-                );
+            cache_span(trace, "front", lookup_start, usable.is_some(), usable);
+            let seen = match lookup {
+                FrontLookup::Usable(hit) => {
+                    if let Some(sol) = threshold_read(&hit.front, objective) {
+                        return Response::ok(
+                            id,
+                            solve_result(sol),
+                            self.meta(true, Some(hit.solver), Some(hit.complete), start),
+                        );
+                    }
+                    if hit.complete {
+                        // A complete front proves infeasibility.
+                        let mut meta = self.meta(true, Some(hit.solver), Some(true), start);
+                        if explain {
+                            meta.explain = Some(self.attach_explanation(
+                                &pipeline, platform, objective, budget, use_cache, trace,
+                            ));
+                        }
+                        return Response::infeasible(
+                            id,
+                            objective,
+                            format!("no mapping satisfies {objective:?}"),
+                            meta,
+                        );
+                    }
+                    // Incomplete front with no satisfying point: solve fresh.
+                    true
+                }
+                FrontLookup::Seen => true,
+                FrontLookup::Miss => false,
+            };
+            if let Some(timeout) = self.doomed_solve(id, budget, start) {
+                return timeout;
             }
-        }
 
-        // 3. One engine call answers the request, whatever the instance.
-        let report = self.engine.solve_traced(
-            &SolveRequest {
-                pipeline: &pipeline,
-                platform,
-                want: Want::Point {
-                    objective,
-                    keep_front,
+            // 2. The cold plan. The capability probe repeats inside
+            //    Engine::solve; the scan is a handful of class/bound
+            //    checks (E18 bounds the whole dispatch at ≲1% of a
+            //    solve), accepted to keep the cache-policy decision out
+            //    of the engine.
+            let build = self.front_build(&pipeline, platform);
+            let keep_front = key.is_some()
+                && match build {
+                    FrontBuild::None => false,
+                    FrontBuild::OnePass => true,
+                    FrontBuild::Sweep => seen,
+                };
+
+            // 3. The per-query result cache applies only when the engine
+            //    has no front to share: fronts amortize across
+            //    thresholds, point answers cannot.
+            let qkey = (use_cache && build == FrontBuild::None)
+                .then(|| {
+                    Command::Solve {
+                        pipeline: pipeline.clone(),
+                        platform: platform.clone(),
+                        objective,
+                    }
+                    .cache_key()
+                })
+                .flatten();
+            if let Some(k) = qkey {
+                let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
+                let hit = match self.cache.get(k) {
+                    Some(CachedEntry::Result(hit)) => Some(hit),
+                    _ => None,
+                };
+                cache_span(trace, "result", lookup_start, hit.is_some(), None);
+                if let Some(hit) = hit {
+                    return Response::ok(
+                        id,
+                        hit.result,
+                        self.meta(true, hit.solver, hit.exact_complete, start),
+                    );
+                }
+            }
+
+            // 4. One engine call answers the request, whatever the
+            //    instance; a front built along the way goes back into the
+            //    cache (completeness-aware) for every later query.
+            let solve = || {
+                let report = self.engine.solve_traced(
+                    &SolveRequest {
+                        pipeline: &pipeline,
+                        platform,
+                        want: Want::Point {
+                            objective,
+                            keep_front,
+                        },
+                        budget,
+                    },
+                    trace,
+                );
+                self.solver_metrics.record(&report.stats);
+                self.front_metrics.record_cold_plan(keep_front);
+                if let (Some(k), Some(artifact)) = (key, &report.front) {
+                    let write_start = trace.map(|scope| scope.trace.elapsed_us());
+                    self.store_front(
+                        &pipeline,
+                        platform,
+                        k,
+                        Arc::clone(&artifact.front),
+                        artifact.complete,
+                        artifact.provenance,
+                        artifact.exact_capable,
+                    );
+                    cache_write_span(trace, "front", write_start, Some(artifact.complete));
+                }
+                report
+            };
+            match key {
+                Some(k) if keep_front => match self.single_flight(k, budget, trace, solve) {
+                    Some(report) => break (report, qkey),
+                    // Joined a build in flight: read what it cached.
+                    None => continue,
                 },
-                budget,
-            },
-            trace,
-        );
-        self.solver_metrics.record(&report.stats);
-        if let (Some(k), Some(artifact)) = (key, &report.front) {
-            let write_start = trace.map(|scope| scope.trace.elapsed_us());
-            self.store_front(
-                &pipeline,
-                platform,
-                k,
-                Arc::clone(&artifact.front),
-                artifact.complete,
-                artifact.provenance,
-                artifact.exact_capable,
-            );
-            cache_write_span(trace, "front", write_start, Some(artifact.complete));
-        }
+                Some(k) if build == FrontBuild::Sweep => {
+                    let report = solve();
+                    self.cache.insert_if(k, CachedEntry::Seen, |_| false);
+                    break (report, qkey);
+                }
+                _ => break (solve(), qkey),
+            }
+        };
+
         let completeness = report.completeness;
         match report.answer {
             Answer::Point(Some(sol)) => {
@@ -906,26 +1043,31 @@ impl SolverService {
         let pipeline = pipeline.clone().with_rebuilt_cache();
         let key = use_cache.then(|| instance_key(&pipeline, platform));
 
-        let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
-        let cached = key.and_then(|k| self.usable_cached_front(k, budget));
-        cache_span(
-            trace,
-            "front",
-            lookup_start,
-            cached.is_some(),
-            cached.as_ref().map(|hit| hit.complete),
-        );
-        let (entry, cache_hit) = match cached {
-            Some(hit) => (hit, true),
-            None => {
-                if let Some(timeout) = self.doomed_solve(id, budget, start) {
-                    emit(timeout);
-                    return;
-                }
-                // One engine call: the exact front backend where one
-                // applies, the heuristic portfolio sweep beyond — the
-                // command answers on every instance, flagged by
-                // completeness.
+        let (entry, cache_hit) = loop {
+            let lookup_start = trace.map(|scope| scope.trace.elapsed_us());
+            let cached = match key.map(|k| self.front_lookup(k, budget)) {
+                Some(FrontLookup::Usable(hit)) => Some(hit),
+                _ => None,
+            };
+            cache_span(
+                trace,
+                "front",
+                lookup_start,
+                cached.is_some(),
+                cached.as_ref().map(|hit| hit.complete),
+            );
+            if let Some(hit) = cached {
+                break (hit, true);
+            }
+            if let Some(timeout) = self.doomed_solve(id, budget, start) {
+                emit(timeout);
+                return;
+            }
+            // One engine call: the exact front backend where one applies,
+            // the heuristic portfolio sweep beyond — the command answers
+            // on every instance, flagged by completeness. `None` is a
+            // cutoff that found no point at all.
+            let build = || {
                 let report = self.engine.solve_traced(
                     &SolveRequest {
                         pipeline: &pipeline,
@@ -949,13 +1091,7 @@ impl SolverService {
                     }
                 };
                 if front.is_empty() && !complete {
-                    emit(Response::error(
-                        id,
-                        ErrorKind::Timeout,
-                        "deadline expired before any Pareto point was found",
-                        self.meta_plain(start),
-                    ));
-                    return;
+                    return None;
                 }
                 if let Some(k) = key {
                     let write_start = trace.map(|scope| scope.trace.elapsed_us());
@@ -970,16 +1106,31 @@ impl SolverService {
                     );
                     cache_write_span(trace, "front", write_start, Some(complete));
                 }
-                (
-                    CachedFront {
-                        front,
-                        complete,
-                        solver,
-                        exact_capable,
-                    },
-                    false,
-                )
-            }
+                Some(CachedFront {
+                    front,
+                    complete,
+                    solver,
+                    exact_capable,
+                })
+            };
+            let built = match key {
+                Some(k) => match self.single_flight(k, budget, trace, build) {
+                    Some(built) => built,
+                    // Joined a build in flight: read what it cached.
+                    None => continue,
+                },
+                None => build(),
+            };
+            let Some(entry) = built else {
+                emit(Response::error(
+                    id,
+                    ErrorKind::Timeout,
+                    "deadline expired before any Pareto point was found",
+                    self.meta_plain(start),
+                ));
+                return;
+            };
+            break (entry, false);
         };
 
         let meta =
@@ -1252,6 +1403,7 @@ impl SolverService {
         writeln!(out, "rpwf_cache_misses_total {}", cache.misses).expect("write");
         writeln!(out, "rpwf_cache_evictions_total {}", cache.evictions).expect("write");
         writeln!(out, "rpwf_cache_entries {}", cache.entries).expect("write");
+        writeln!(out, "rpwf_cache_markers {}", cache.markers).expect("write");
         writeln!(out, "rpwf_cache_capacity {}", self.cache.capacity()).expect("write");
         // Ratio gauge: 0 when no lookup happened yet (not NaN).
         let lookups = cache.hits + cache.misses;
@@ -1316,6 +1468,7 @@ impl SolverService {
         self.metrics.render_prometheus(&mut out);
         self.solver_metrics.render_prometheus(&mut out);
         self.explain_metrics.render_prometheus(&mut out);
+        self.front_metrics.render_prometheus(&mut out);
         for extension in self
             .metrics_ext
             .lock()
@@ -1329,21 +1482,82 @@ impl SolverService {
 
     // -- Front cache -------------------------------------------------------
 
-    /// A cached front usable for this request: complete fronts always;
-    /// incomplete fronts only when the request itself carries a
-    /// **deadline** (best-effort is the contract anyway — a mere
-    /// cancellation link, which every TCP request has, does not count) or
-    /// when no exact backend could do better. Never lets a cutoff
-    /// masquerade as exact — the entry's `complete` flag travels into
-    /// `meta.exact_complete`.
-    fn usable_cached_front(&self, key: u128, budget: &Budget) -> Option<CachedFront> {
+    /// Looks a request's instance up in the front cache. A front is
+    /// usable for the request when complete; an incomplete one only when
+    /// the request itself carries a **deadline** (best-effort is the
+    /// contract anyway — a mere cancellation link, which every TCP request
+    /// has, does not count) or when no exact backend could do better.
+    /// Never lets a cutoff masquerade as exact — the entry's `complete`
+    /// flag travels into `meta.exact_complete`.
+    fn front_lookup(&self, key: u128, budget: &Budget) -> FrontLookup {
         let deadline_bound = budget.remaining().is_some();
         match self.cache.get(key) {
-            Some(CachedEntry::Front(hit)) => {
-                (hit.complete || deadline_bound || !hit.exact_capable).then_some(hit)
+            Some(CachedEntry::Front(hit))
+                if hit.complete || deadline_bound || !hit.exact_capable =>
+            {
+                FrontLookup::Usable(hit)
             }
-            _ => None,
+            Some(CachedEntry::Front(_) | CachedEntry::Seen) => FrontLookup::Seen,
+            Some(CachedEntry::Result(_)) | None => FrontLookup::Miss,
         }
+    }
+
+    /// How the engine would build the instance's exact front.
+    fn front_build(&self, pipeline: &Pipeline, platform: &Platform) -> FrontBuild {
+        match self.engine.front_backend(pipeline, platform) {
+            None => FrontBuild::None,
+            Some(backend) if backend.capabilities().shapes.points => FrontBuild::OnePass,
+            Some(_) => FrontBuild::Sweep,
+        }
+    }
+
+    /// Runs `build` — a front build that caches what it builds — as the
+    /// only build in flight for `key`, and returns its value. When another
+    /// request is already building that front, waits for it instead (until
+    /// it lands or `budget` runs out) and returns `None`: the caller then
+    /// reads the cache. With caching disabled there is nothing to share
+    /// through, so `build` always runs.
+    fn single_flight<T>(
+        &self,
+        key: u128,
+        budget: &Budget,
+        trace: Option<TraceScope<'_>>,
+        build: impl FnOnce() -> T,
+    ) -> Option<T> {
+        if self.cache.capacity() == 0 {
+            return Some(build());
+        }
+        let joined = {
+            let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
+            match flights.get(&key) {
+                Some(flight) => Some(Arc::clone(flight)),
+                None => {
+                    flights.insert(key, Arc::default());
+                    None
+                }
+            }
+        };
+        let Some(flight) = joined else {
+            let _guard = FlightGuard {
+                flights: &self.flights,
+                key,
+            };
+            return Some(build());
+        };
+        self.front_metrics.record_join();
+        let wait_start = trace.map(|scope| scope.trace.elapsed_us());
+        flight.wait(budget);
+        if let Some(scope) = trace {
+            let start = wait_start.unwrap_or(0);
+            scope.trace.add(
+                "front.join",
+                Some(scope.parent),
+                start,
+                scope.trace.elapsed_us().saturating_sub(start),
+                Vec::new(),
+            );
+        }
+        None
     }
 
     /// Caches a **locally solved** front and, when it landed and is
@@ -1390,7 +1604,7 @@ impl SolverService {
         self.cache
             .insert_if(key, CachedEntry::Front(entry), |existing| match existing {
                 CachedEntry::Front(old) => complete || (!old.complete && points >= old.front.len()),
-                CachedEntry::Result(_) => true,
+                CachedEntry::Result(_) | CachedEntry::Seen => true,
             })
     }
 
@@ -1459,7 +1673,9 @@ impl SolverService {
     /// batch of threshold queries over it is answered by front reads. Used
     /// by batch grouping; a no-op when caching is disabled, when a usable
     /// front is already cached, or when no exact front backend applies
-    /// (queried through the engine's capability surface). Panics from
+    /// (queried through the engine's capability surface). Single-flight
+    /// like every front build: when the front is already being built,
+    /// this waits for that build instead of starting another. Panics from
     /// malformed instances are contained (the per-request path will report
     /// them as structured errors).
     pub fn warm_front(&self, pipeline: &Pipeline, platform: &Platform) {
@@ -1477,27 +1693,30 @@ impl SolverService {
             if self.engine.front_backend(&pipeline, platform).is_none() {
                 return;
             }
-            let report = self.engine.solve(&SolveRequest {
-                pipeline: &pipeline,
-                platform,
-                want: Want::Front,
-                budget: &Budget::unlimited(),
-            });
-            self.solver_metrics.record(&report.stats);
-            let complete = report.completeness.exact_complete;
-            let provenance = report.provenance.unwrap_or(Provenance::Exact);
-            let exact_capable = report.completeness.exact_capable;
-            if let Answer::Front(front) = report.answer {
-                self.store_front(
-                    &pipeline,
+            let budget = Budget::unlimited();
+            let _ = self.single_flight(key, &budget, None, || {
+                let report = self.engine.solve(&SolveRequest {
+                    pipeline: &pipeline,
                     platform,
-                    key,
-                    front,
-                    complete,
-                    provenance,
-                    exact_capable,
-                );
-            }
+                    want: Want::Front,
+                    budget: &budget,
+                });
+                self.solver_metrics.record(&report.stats);
+                let complete = report.completeness.exact_complete;
+                let provenance = report.provenance.unwrap_or(Provenance::Exact);
+                let exact_capable = report.completeness.exact_capable;
+                if let Answer::Front(front) = report.answer {
+                    self.store_front(
+                        &pipeline,
+                        platform,
+                        key,
+                        front,
+                        complete,
+                        provenance,
+                        exact_capable,
+                    );
+                }
+            });
         }));
     }
 
@@ -1559,7 +1778,8 @@ impl SolverService {
 /// byte-identical from every fleet entry node — and every freshly solved
 /// front goes back through the same completeness-aware store (and fleet
 /// replication hook) as a solve, so an explanation warms the cache for
-/// later queries over the same (possibly relaxed) instances.
+/// later queries over the same (possibly relaxed) instances. Those builds
+/// are single-flight per instance key, like every other front build.
 struct ServiceOracle<'a> {
     service: &'a SolverService,
     budget: &'a Budget,
@@ -1568,9 +1788,43 @@ struct ServiceOracle<'a> {
 
 impl FrontOracle for ServiceOracle<'_> {
     fn front(&mut self, pipeline: &Pipeline, platform: &Platform, _variant: u8) -> OracleFront {
+        let (service, budget) = (self.service, self.budget);
         let key = self.use_cache.then(|| instance_key(pipeline, platform));
-        if let Some(k) = key {
-            if let Some(CachedEntry::Front(hit)) = self.service.cache.get(k) {
+        let build = || {
+            let report = service.engine.solve(&SolveRequest {
+                pipeline,
+                platform,
+                want: Want::Front,
+                budget,
+            });
+            service.solver_metrics.record(&report.stats);
+            let complete = report.completeness.exact_complete;
+            let exact_capable = report.completeness.exact_capable;
+            let solver = report.provenance.unwrap_or(Provenance::Heuristic);
+            let front = report
+                .front_answer()
+                .cloned()
+                .unwrap_or_else(|| Arc::new(ParetoFront::new()));
+            if let Some(k) = key {
+                service.store_front(
+                    pipeline,
+                    platform,
+                    k,
+                    Arc::clone(&front),
+                    complete,
+                    solver,
+                    exact_capable,
+                );
+            }
+            OracleFront {
+                front,
+                complete,
+                cached: false,
+            }
+        };
+        let Some(k) = key else { return build() };
+        loop {
+            if let Some(CachedEntry::Front(hit)) = service.cache.get(k) {
                 if hit.complete {
                     return OracleFront {
                         front: hit.front,
@@ -1579,36 +1833,14 @@ impl FrontOracle for ServiceOracle<'_> {
                     };
                 }
             }
-        }
-        let report = self.service.engine.solve(&SolveRequest {
-            pipeline,
-            platform,
-            want: Want::Front,
-            budget: self.budget,
-        });
-        self.service.solver_metrics.record(&report.stats);
-        let complete = report.completeness.exact_complete;
-        let exact_capable = report.completeness.exact_capable;
-        let solver = report.provenance.unwrap_or(Provenance::Heuristic);
-        let front = report
-            .front_answer()
-            .cloned()
-            .unwrap_or_else(|| Arc::new(ParetoFront::new()));
-        if let Some(k) = key {
-            self.service.store_front(
-                pipeline,
-                platform,
-                k,
-                Arc::clone(&front),
-                complete,
-                solver,
-                exact_capable,
-            );
-        }
-        OracleFront {
-            front,
-            complete,
-            cached: false,
+            match service.single_flight(k, budget, None, build) {
+                Some(front) => return front,
+                // Out of budget while waiting: answer as a run out of
+                // budget does.
+                None if budget.is_exhausted() => return build(),
+                // Joined a build in flight: read what it cached.
+                None => {}
+            }
         }
     }
 }
@@ -1973,12 +2205,15 @@ impl WorkerPool {
     /// the distinct instances behind the batch's front-shaped commands and
     /// warm the front cache for each, spreading the distinct solves over
     /// the configured worker parallelism. `no_cache` requests opt out of
-    /// grouping (they would bypass the shared front anyway).
+    /// grouping (they would bypass the shared front anyway). The batch
+    /// follows the per-request cold plan: an instance whose front is a
+    /// sweep of point searches and that only one query in the batch asks
+    /// about is not pre-warmed, so that query runs the point plan.
     fn warm_batch_fronts(&self, requests: &[Option<Request>]) {
         if self.service().config().cache_capacity == 0 {
             return; // nowhere to share fronts through
         }
-        let mut distinct: HashMap<u128, (Pipeline, Platform)> = HashMap::new();
+        let mut distinct: HashMap<u128, (Pipeline, Platform, usize)> = HashMap::new();
         for request in requests.iter().flatten() {
             if request.no_cache.unwrap_or(false) {
                 continue;
@@ -1998,16 +2233,23 @@ impl WorkerPool {
             {
                 distinct
                     .entry(key)
-                    .or_insert_with(|| (pipeline.clone(), platform.clone()));
+                    .or_insert_with(|| (pipeline.clone(), platform.clone(), 0))
+                    .2 += 1;
             }
         }
-        if distinct.is_empty() {
+        let service = self.service();
+        let instances: Vec<(Pipeline, Platform)> = distinct
+            .into_values()
+            .filter(|(pipeline, platform, asks)| {
+                *asks > 1 || service.front_build(pipeline, platform) != FrontBuild::Sweep
+            })
+            .map(|(pipeline, platform, _)| (pipeline, platform))
+            .collect();
+        if instances.is_empty() {
             return;
         }
-        let instances: Vec<(Pipeline, Platform)> = distinct.into_values().collect();
-        let workers = self.service().config().effective_workers().max(1);
+        let workers = service.config().effective_workers().max(1);
         let per_thread = instances.len().div_ceil(workers).max(1);
-        let service = self.service();
         std::thread::scope(|scope| {
             for chunk in instances.chunks(per_thread) {
                 scope.spawn(move || {
@@ -2593,6 +2835,18 @@ mod tests {
             text.contains("rpwf_command_latency_us_count{cmd=\"solve\"} 1"),
             "{text}"
         );
+        // Figure 5's front backend is a one-pass point solver: the cold
+        // solve built (and cached) the front, leaving no marker.
+        assert!(text.contains("rpwf_cache_markers 0"), "{text}");
+        assert!(
+            text.contains("rpwf_solve_cold_plan_total{plan=\"front\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("rpwf_solve_cold_plan_total{plan=\"point\"} 0"),
+            "{text}"
+        );
+        assert!(text.contains("rpwf_front_build_joins_total 0"), "{text}");
     }
 
     #[test]
@@ -2809,6 +3063,104 @@ mod tests {
                 "grouped and independent answers must be byte-identical"
             );
         }
+    }
+
+    fn bnb_sweep_calls(svc: &SolverService) -> u64 {
+        svc.solver_metrics
+            .snapshot()
+            .iter()
+            .find(|s| s.solver == "bnb-sweep")
+            .map_or(0, |s| s.calls)
+    }
+
+    #[test]
+    fn grouped_batch_point_plans_a_sweep_backed_singleton() {
+        let het = rpwf_gen::make_instance(
+            PlatformClass::FullyHeterogeneous,
+            FailureClass::Heterogeneous,
+            6,
+            8,
+            3,
+        );
+        let line = |id: u64, cmd: Command| {
+            serde_json::to_string(&Request {
+                id: Some(id),
+                deadline_ms: None,
+                no_cache: None,
+                hop: None,
+                trace: None,
+                trace_ctx: None,
+                explain: None,
+                cmd,
+            })
+            .unwrap()
+        };
+        let make_lines = || -> Vec<String> {
+            let mut lines: Vec<String> = (0..4u64)
+                .map(|i| {
+                    line(
+                        i,
+                        Command::Solve {
+                            pipeline: rpwf_gen::figure5_pipeline(),
+                            platform: rpwf_gen::figure5_platform(),
+                            objective: Objective::MinFpUnderLatency(22.0 + i as f64),
+                        },
+                    )
+                })
+                .collect();
+            lines.push(line(
+                4,
+                Command::Solve {
+                    pipeline: het.pipeline.clone(),
+                    platform: het.platform.clone(),
+                    objective: Objective::MinFpUnderLatency(1e9),
+                },
+            ));
+            lines
+        };
+        let grouped_pool = WorkerPool::new(Arc::new(service()));
+        let grouped = grouped_pool.submit_batch(make_lines());
+        let ungrouped_pool = WorkerPool::new(Arc::new(service()));
+        let ungrouped = ungrouped_pool.submit_batch_ungrouped(make_lines());
+        assert_eq!(grouped.len(), ungrouped.len());
+        for (g, u) in grouped.iter().zip(&ungrouped) {
+            let g: Response = serde_json::from_str(g).unwrap();
+            let u: Response = serde_json::from_str(u).unwrap();
+            assert_eq!(g.status, "ok", "{:?}", g.error);
+            assert_eq!(
+                serde_json::to_string(&g.result).unwrap(),
+                serde_json::to_string(&u.result).unwrap(),
+                "grouped and independent answers must be byte-identical"
+            );
+        }
+        // The het singleton was not pre-warmed: it ran the point plan.
+        assert_eq!(bnb_sweep_calls(grouped_pool.service()), 0);
+        let het_answer: Response = serde_json::from_str(&grouped[4]).unwrap();
+        assert!(!het_answer.meta.cache_hit);
+        assert_eq!(het_answer.meta.exact_complete, Some(true));
+
+        // Asked twice in one batch, the same instance gets one front.
+        let twice = WorkerPool::new(Arc::new(service()));
+        let mut lines = make_lines();
+        lines.push(lines[4].replace("\"id\":4", "\"id\":5"));
+        let out = twice.submit_batch(lines);
+        let (a, b): (Response, Response) = (
+            serde_json::from_str(&out[4]).unwrap(),
+            serde_json::from_str(&out[5]).unwrap(),
+        );
+        assert!(
+            a.meta.cache_hit && b.meta.cache_hit,
+            "read off the warmed front"
+        );
+        assert_eq!(
+            serde_json::to_string(&a.result).unwrap(),
+            serde_json::to_string(&het_answer.result).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_string(&b.result).unwrap(),
+            serde_json::to_string(&het_answer.result).unwrap()
+        );
+        assert_eq!(bnb_sweep_calls(twice.service()), 1);
     }
 
     #[test]
